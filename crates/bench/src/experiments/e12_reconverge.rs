@@ -27,7 +27,7 @@ use rfd_core::{ProcessId, ProcessSet};
 use rfd_net::clock::{Nanos, SystemClock};
 use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
 use rfd_net::online::{
-    run_membership_churn, run_membership_churn_over, Fault, FaultSchedule, MembershipChurnReport,
+    run_membership_churn, Fault, FaultSchedule, MembershipChurnReport, MembershipRunner,
     OnlineScenario,
 };
 use rfd_net::transport::faulty_cluster;
@@ -178,7 +178,9 @@ fn run_udp_cell(prototype: Estimators, scenario: &OnlineScenario) -> MembershipC
     let clock = SystemClock::new();
     let transports = loopback_cluster(scenario.n).expect("bind loopback cluster");
     let (nodes, injector) = faulty_cluster(transports, 0.0, scenario.seed, clock.clone());
-    run_membership_churn_over(prototype, scenario, nodes, injector, clock)
+    let mut fleet = MembershipRunner::over(prototype, scenario.clone(), nodes, injector, clock);
+    fleet.run_to_end();
+    fleet.report()
 }
 
 /// Whether the wall-clock UDP cells are enabled (`RFD_E12_UDP=1`); off

@@ -29,10 +29,10 @@ use crate::table::Table;
 use rfd_core::{ProcessId, ProcessSet};
 use rfd_net::clock::{ClockSkew, Nanos};
 use rfd_net::estimator::{ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual};
-use rfd_net::online::OnlineScenario;
+use rfd_net::online::{OnlineRunner, OnlineScenario};
 use rfd_net::qos::QosReport;
-use rfd_net::service::{ServiceReport, ServiceScenario};
-use rfd_net::weather::{run_weather_service, weather_online_runner, Weather};
+use rfd_net::service::{ServiceReport, ServiceRunner, ServiceScenario};
+use rfd_net::weather::Weather;
 use rfd_sim::Campaign;
 
 fn ms(v: u64) -> Nanos {
@@ -197,7 +197,7 @@ fn gate(label: &str, report: &ServiceReport) {
 /// Runs the detector-only fleet under `weather` and reduces the
 /// observer→target pair.
 fn qos_pair(proto: Estimators, weather: &Weather, seed: u64) -> QosReport {
-    let mut runner = weather_online_runner(proto, weather.apply_to(base_online(seed)));
+    let mut runner = OnlineRunner::weather(proto, weather.apply_to(base_online(seed)));
     runner.run_to_end();
     runner
         .report(p(OBSERVER), p(TARGET))
@@ -235,7 +235,9 @@ pub fn run_experiment(quick: bool) -> Table {
         for (weather_name, weather) in catalogue() {
             let label = format!("{est_name}/{weather_name}");
             let runs: Vec<Cell> = Campaign::sweep(0..seeds).map(|seed| {
-                let report = run_weather_service(proto.clone(), &scenario(&weather, seed));
+                let mut runner = ServiceRunner::weather(proto.clone(), scenario(&weather, seed));
+                runner.run_to_end();
+                let report = runner.report();
                 gate(&label, &report);
                 let qos = qos_pair(proto.clone(), &weather, seed);
                 Cell {
@@ -334,8 +336,13 @@ mod tests {
     fn e15_cells_are_deterministic_per_seed() {
         let (_, gray) = catalogue().remove(5);
         let sc = scenario(&gray, 3);
-        let a = run_weather_service(ChenEstimator::new(ms(150), 16, ms(600)), &sc);
-        let b = run_weather_service(ChenEstimator::new(ms(150), 16, ms(600)), &sc);
+        let run = || {
+            let mut runner =
+                ServiceRunner::weather(ChenEstimator::new(ms(150), 16, ms(600)), sc.clone());
+            runner.run_to_end();
+            runner.report()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.logs, b.logs);
         assert_eq!(a.bases, b.bases);
         assert_eq!(a.decisions, b.decisions);

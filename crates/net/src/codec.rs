@@ -632,6 +632,24 @@ pub fn encode_batch_into(frames: &[WireMsg], buf: &mut BytesMut) {
     put_batch_body(frames, v);
 }
 
+/// Encodes into the send buffer recycled through `slot` and leaves a
+/// handle to the payload there: the buffer is reused allocation-free
+/// once the transport has dropped every clone of the previous payload,
+/// and a fresh one is allocated otherwise.
+pub(crate) fn encode_recycled(
+    slot: &mut Option<Bytes>,
+    encode: impl FnOnce(&mut BytesMut),
+) -> Bytes {
+    let mut buf = slot
+        .take()
+        .and_then(|b| b.try_into_mut().ok())
+        .unwrap_or_default();
+    encode(&mut buf);
+    let payload = buf.freeze();
+    *slot = Some(payload.clone());
+    payload
+}
+
 /// Encodes a message into a fresh buffer. Thin shim over
 /// [`encode_into`]; hot paths should reuse a buffer instead.
 ///

@@ -2,11 +2,12 @@
 //! peer, a suspect-set view, and a transport-driven node loop.
 
 use crate::clock::{Clock, Nanos};
-use crate::codec::{decode_borrowed, encode_into, Heartbeat, WireMsg, WireView};
+use crate::codec::{encode_into, encode_recycled, Heartbeat, WireMsg, WireView};
 use crate::estimator::ArrivalEstimator;
-use crate::transport::{Datagram, Transport};
+use crate::transport::{drain_frames, multicast, Datagram, Transport};
 use bytes::Bytes;
 use rfd_core::{ProcessId, ProcessSet};
+use std::ops::ControlFlow;
 
 /// Per-node heartbeat detector: monitors every peer with its own clone
 /// of an estimator prototype.
@@ -175,23 +176,16 @@ where
     /// suspect set.
     pub fn poll(&mut self) -> ProcessSet {
         let now = self.clock.now();
-        let mut rx = std::mem::take(&mut self.rx_buf);
-        self.transport.recv_batch(&mut rx);
-        for dg in rx.drain(..) {
-            match decode_borrowed(&dg.payload) {
-                Ok(WireView::Heartbeat(hb)) => self.note_heartbeat(&hb, dg.delivered_at),
-                Ok(WireView::Batch(batch)) => {
-                    for sub in batch.iter() {
-                        if let WireView::Heartbeat(hb) = sub {
-                            self.note_heartbeat(&hb, dg.delivered_at);
-                        }
-                    }
+        self.malformed_frames += drain_frames(
+            self,
+            |node| (&node.transport, &mut node.rx_buf),
+            |node, dg, frame| {
+                if let WireView::Heartbeat(hb) = frame {
+                    node.note_heartbeat(&hb, dg.delivered_at);
                 }
-                Ok(_) => {}
-                Err(_) => self.malformed_frames += 1,
-            }
-        }
-        self.rx_buf = rx;
+                ControlFlow::Continue(())
+            },
+        );
         if now >= self.next_beat {
             let hb = WireMsg::Heartbeat(Heartbeat {
                 #[allow(clippy::cast_possible_truncation)]
@@ -200,21 +194,8 @@ where
                 sent_at: now,
             });
             self.seq += 1;
-            // Reclaim last period's buffer if the network has let go of
-            // every clone; fall back to a fresh one otherwise.
-            let mut buf = self
-                .scratch
-                .take()
-                .and_then(|b| b.try_into_mut().ok())
-                .unwrap_or_default();
-            encode_into(&hb, &mut buf);
-            let payload = buf.freeze();
-            for to in ProcessSet::full(self.n) {
-                if to != self.transport.me() {
-                    self.transport.send(to, payload.clone());
-                }
-            }
-            self.scratch = Some(payload);
+            let payload = encode_recycled(&mut self.scratch, |b| encode_into(&hb, b));
+            multicast(&self.transport, ProcessSet::full(self.n), &payload);
             self.next_beat = now.saturating_add(self.period);
         }
         self.detector.suspects(now)

@@ -12,9 +12,9 @@
 //! * **Query accuracy probability `P_A`** — fraction of pre-crash time
 //!   the detector answered "trust" (correctly).
 
-use crate::clock::{Clock, Nanos, VirtualClock};
-use crate::detector::DetectorNode;
+use crate::clock::{Nanos, VirtualClock};
 use crate::estimator::ArrivalEstimator;
+use crate::online::{Fault, FaultSchedule, OnlineRunner, OnlineScenario};
 use crate::transport::{InMemoryNetwork, NetworkConfig};
 use rfd_core::ProcessId;
 
@@ -334,12 +334,20 @@ impl Default for QosScenario {
     }
 }
 
-/// Runs the two-node scenario — `p1` heartbeats, `p0` observes with the
-/// given estimator — and returns the observer's QoS report about `p1`.
+/// Runs the two-node scenario — a target heartbeats, an observer
+/// watches it with the given estimator — and returns the observer's QoS
+/// report about the target: a two-node [`OnlineRunner`] whose batch
+/// shadow is finalized at the end. Each tick the target polls before
+/// the observer, so it is process 0.
+///
+/// # Panics
+///
+/// Panics if a loss probability lies outside `0.0..=1.0`.
 pub fn evaluate_qos<E: ArrivalEstimator + Clone>(
     prototype: E,
     scenario: &QosScenario,
 ) -> QosReport {
+    let (target, observer) = (ProcessId::new(0), ProcessId::new(1));
     let clock = VirtualClock::new();
     let base = NetworkConfig::reliable(scenario.min_delay, scenario.max_delay);
     let config = match scenario.burst {
@@ -350,40 +358,23 @@ pub fn evaluate_qos<E: ArrivalEstimator + Clone>(
     }
     .with_seed(scenario.seed);
     let net = InMemoryNetwork::new(2, config, clock.clone());
-    let observer_id = ProcessId::new(0);
-    let target_id = ProcessId::new(1);
-    let mut observer = DetectorNode::new(
-        2,
-        prototype.clone(),
-        net.endpoint(observer_id),
-        clock.clone(),
-        scenario.period,
-    );
-    let mut target = DetectorNode::new(
-        2,
-        prototype,
-        net.endpoint(target_id),
-        clock.clone(),
-        scenario.period,
-    );
-    let mut tracker = QosTracker::new();
-    let mut crashed = false;
-    while clock.now() < scenario.duration {
-        let now = clock.now();
-        if let Some(c) = scenario.crash_at {
-            if !crashed && now >= c {
-                crashed = true;
-                net.take_down(target_id);
-            }
-        }
-        if !crashed {
-            target.poll();
-        }
-        let suspects = observer.poll();
-        tracker.sample(now, suspects.contains(target_id));
-        clock.advance(scenario.sample_every);
-    }
-    tracker.finalize(scenario.crash_at, scenario.duration)
+    let online = OnlineScenario {
+        n: 2,
+        period: scenario.period,
+        duration: scenario.duration,
+        sample_every: scenario.sample_every,
+        schedule: scenario.crash_at.map_or_else(FaultSchedule::new, |at| {
+            FaultSchedule::new().at(at, Fault::Crash(target))
+        }),
+        ..OnlineScenario::default()
+    };
+    let endpoints = vec![net.endpoint(target), net.endpoint(observer)];
+    let mut runner =
+        OnlineRunner::over(prototype, online, endpoints, net, clock).with_batch_shadow();
+    runner.run_to_end();
+    runner
+        .batch_report(observer, target)
+        .expect("observer and target are distinct")
 }
 
 #[cfg(test)]

@@ -3,17 +3,18 @@
 use super::log::{Decision, ReplicatedLog, Snapshot, ViewStamp};
 use crate::clock::{Clock, Nanos};
 use crate::codec::{
-    decode_borrowed, encode, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotReply,
-    SnapshotRequest, SyncReply, SyncRequest, WireMsg, WireView, MAX_SYNC_ENTRIES,
+    encode, set_to_members, Command, ConsensusFrame, DecidedMsg, SnapshotReply, SnapshotRequest,
+    SyncReply, SyncRequest, WireMsg, WireView, MAX_SYNC_ENTRIES,
 };
 use crate::estimator::ArrivalEstimator;
 use crate::membership::{MembershipNode, View};
-use crate::transport::{Datagram, Transport};
+use crate::transport::{drain_frames, multicast, Datagram, Transport};
 use bytes::Bytes;
 use rfd_algo::consensus::{RotatingConsensus, RotatingMsg};
 use rfd_algo::driver::{SlotDriver, SlotSend};
 use rfd_core::{ProcessId, ProcessSet};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 /// How many pending commands one node re-gossips per heartbeat period —
 /// the anti-entropy that lets a command submitted on a once-partitioned
@@ -413,22 +414,19 @@ where
         true
     }
 
-    /// Routes one decoded frame. Returns `true` if the node halted while
-    /// processing it (the caller stops draining).
+    /// Routes one decoded leaf frame of `dg` (the drain flattens
+    /// batches). Breaks once the membership layer has halted the node.
     fn route_frame(
         &mut self,
-        from: ProcessId,
-        delivered_at: Nanos,
+        dg: &Datagram,
         frame: &WireView<'_>,
         consensus_in: &mut Vec<(u64, ProcessId, RotatingMsg<u64>)>,
         events: &mut Vec<ServiceOutput>,
-    ) -> bool {
+    ) -> ControlFlow<()> {
+        let from = dg.from;
         match frame {
             WireView::Heartbeat(_) | WireView::ViewChange(_) => {
-                self.membership.on_wire_view(frame, delivered_at);
-                if self.membership.is_halted() {
-                    return true;
-                }
+                return self.membership.on_frame(frame, dg.delivered_at);
             }
             WireView::Command(c) => self.learn_command(c.value),
             WireView::Consensus(cf) => {
@@ -479,15 +477,9 @@ where
                 self.on_snapshot_reply(from, &snapshot, &entries, events);
                 self.sync_scratch = entries;
             }
-            WireView::Batch(batch) => {
-                for sub in batch.iter() {
-                    if self.route_frame(from, delivered_at, &sub, consensus_in, events) {
-                        return true;
-                    }
-                }
-            }
+            WireView::Batch(_) => {}
         }
-        false
+        ControlFlow::Continue(())
     }
 
     /// One service tick: drain and route the transport (membership,
@@ -502,34 +494,14 @@ where
         let now = self.clock.now();
         let mut consensus_in = std::mem::take(&mut self.consensus_in);
         consensus_in.clear();
-        let mut rx = std::mem::take(&mut self.rx_buf);
-        self.membership.transport().recv_batch(&mut rx);
-        let mut halted = false;
-        for dg in rx.drain(..) {
-            if halted {
-                // A halted node never polls again; dropping the rest of
-                // the drain matches the old leave-it-queued behavior.
-                break;
-            }
-            let Ok(frame) = decode_borrowed(&dg.payload) else {
-                self.malformed_frames += 1;
-                continue;
-            };
-            halted = self.route_frame(
-                dg.from,
-                dg.delivered_at,
-                &frame,
-                &mut consensus_in,
-                &mut events,
-            );
-        }
-        self.rx_buf = rx;
-        if halted {
-            self.consensus_in = consensus_in;
-            return events;
-        }
+        self.malformed_frames += drain_frames(
+            self,
+            |node| (node.membership.transport(), &mut node.rx_buf),
+            |node, dg, frame| node.route_frame(dg, &frame, &mut consensus_in, &mut events),
+        );
+        // A no-op once the drain halted the membership.
         self.membership.tick();
-        if self.membership.is_halted() {
+        if self.is_halted() {
             self.consensus_in = consensus_in;
             return events;
         }
@@ -548,11 +520,7 @@ where
                 let req = encode(&WireMsg::SyncRequest(SyncRequest {
                     from_index: self.log.len(),
                 }));
-                for to in view.members {
-                    if to != self.me() {
-                        self.send_raw(to, req.clone());
-                    }
-                }
+                multicast(self.membership.transport(), view.members, &req);
             }
         }
         // Consensus over the membership-emulated P.
@@ -1285,11 +1253,10 @@ where
     }
 
     fn broadcast(&self, msg: &WireMsg) {
-        let payload = encode(msg);
-        for to in ProcessSet::full(self.n) {
-            if to != self.me() {
-                self.send_raw(to, payload.clone());
-            }
-        }
+        multicast(
+            self.membership.transport(),
+            ProcessSet::full(self.n),
+            &encode(msg),
+        );
     }
 }

@@ -7,9 +7,9 @@
 //! restores the control plane in user space: every node's transport is
 //! wrapped, and a shared [`FaultInjector`] handle mutes crashed nodes,
 //! drops datagrams crossing a partition boundary, and injects seeded
-//! random loss — so the online churn drivers run the *same*
+//! random loss — so the online fleet driver runs the *same*
 //! [`FaultSchedule`](crate::online::FaultSchedule) over genuine OS
-//! sockets that they run over the simulator.
+//! sockets that it runs over the simulator.
 //!
 //! Semantics, chosen to mirror the virtual network:
 //!
@@ -139,7 +139,7 @@ enum RecvFate {
 }
 
 /// The shared control plane of a [`FaultyTransport`] cluster: the
-/// [`ChurnableTransport`] handle the churn drivers act on, plus loss
+/// [`ChurnableTransport`] handle the fleet driver acts on, plus loss
 /// injection and accounting.
 ///
 /// Cloning is cheap and every clone controls the same cluster.

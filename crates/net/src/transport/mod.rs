@@ -5,7 +5,7 @@
 //! experiments. [`UdpTransport`] carries the same traffic over real
 //! `UdpSocket`s for the end-to-end examples, and [`FaultyTransport`]
 //! wraps any per-node transport with the fault-injection surface
-//! ([`ChurnableTransport`]) the online churn drivers need, so the same
+//! ([`ChurnableTransport`]) the online fleet driver needs, so the same
 //! crash / recover / partition schedules run over genuine OS sockets.
 
 pub mod faulty;
@@ -17,9 +17,11 @@ pub use memory::{Endpoint, InMemoryNetwork, LossModel, NetworkConfig};
 pub use udp::UdpTransport;
 
 use crate::clock::Nanos;
+use crate::codec::{decode_borrowed, WireView};
 use crate::weather::WeatherDirective;
 use bytes::Bytes;
 use rfd_core::{ProcessId, ProcessSet};
+use std::ops::ControlFlow;
 
 /// A received datagram.
 #[derive(Clone, Debug)]
@@ -62,9 +64,57 @@ pub trait Transport {
     }
 }
 
-/// The fleet-level fault-injection surface of a transport: what a churn
-/// driver ([`crate::online::OnlineRunner`],
-/// [`crate::online::run_membership_churn`]) needs to apply a ground-truth
+/// The receive loop every node kind shares. Drains `node`'s transport
+/// into its reusable receive buffer (both handed out by `inbox`),
+/// decodes each datagram through the borrowed-view codec, and passes
+/// every leaf frame — a [`WireView::Batch`]'s sub-frames one by one, in
+/// order (batches never nest) — to `on_frame` together with its
+/// datagram. Returns how many datagrams failed to decode; they reach no
+/// protocol layer.
+///
+/// `on_frame` returning [`ControlFlow::Break`] (the node halted) ends
+/// the drain on the spot: the rest of that batch and every datagram
+/// after it are dropped unseen — a halted node never polls again, so
+/// this matches leaving them queued.
+pub(crate) fn drain_frames<N, T: Transport>(
+    node: &mut N,
+    inbox: impl Fn(&mut N) -> (&T, &mut Vec<Datagram>),
+    mut on_frame: impl FnMut(&mut N, &Datagram, WireView<'_>) -> ControlFlow<()>,
+) -> u64 {
+    let (transport, buf) = inbox(node);
+    let mut rx = std::mem::take(buf);
+    transport.recv_batch(&mut rx);
+    let mut undecodable = 0;
+    for dg in rx.drain(..) {
+        let Ok(frame) = decode_borrowed(&dg.payload) else {
+            undecodable += 1;
+            continue;
+        };
+        let flow = match frame {
+            WireView::Batch(batch) => batch.iter().try_for_each(|sub| on_frame(node, &dg, sub)),
+            leaf => on_frame(node, &dg, leaf),
+        };
+        if flow.is_break() {
+            break;
+        }
+    }
+    *inbox(node).1 = rx;
+    undecodable
+}
+
+/// Sends `payload` from `transport` to every process of `targets` but
+/// itself, in process-id order.
+pub(crate) fn multicast<T: Transport>(transport: &T, targets: ProcessSet, payload: &Bytes) {
+    for to in targets {
+        if to != transport.me() {
+            transport.send(to, payload.clone());
+        }
+    }
+}
+
+/// The fleet-level fault-injection surface of a transport: what the
+/// fleet driver ([`crate::online::Fleet`], behind every detector,
+/// membership and decision-service fleet) needs to apply a ground-truth
 /// [`crate::online::FaultSchedule`].
 ///
 /// Two implementations ship:
@@ -99,7 +149,7 @@ pub trait ChurnableTransport {
     /// supports it. The default declines: only the weather-capable
     /// [`FaultInjector`] fault plane implements the full catalogue, and
     /// a schedule carrying weather over an unsupporting substrate is a
-    /// driver bug the churn runners turn into a panic rather than a
+    /// driver bug the fleet driver turns into a panic rather than a
     /// silently calm run.
     fn apply_weather(&self, directive: &WeatherDirective) -> bool {
         let _ = directive;

@@ -48,8 +48,8 @@
 //! use rfd_net::clock::{ClockSkew, Nanos};
 //! use rfd_net::estimator::ChenEstimator;
 //! use rfd_net::online::OnlineScenario;
-//! use rfd_net::service::ServiceScenario;
-//! use rfd_net::weather::{run_weather_service, Weather};
+//! use rfd_net::service::{ServiceRunner, ServiceScenario};
+//! use rfd_net::weather::Weather;
 //!
 //! let ms = Nanos::from_millis;
 //! let p = ProcessId::new;
@@ -69,15 +69,15 @@
 //!     ..ServiceScenario::default()
 //! }
 //! .command(ms(500), p(0), 7);
-//! let report = run_weather_service(ChenEstimator::new(ms(150), 16, ms(600)), &scenario);
+//! let mut runner = ServiceRunner::weather(ChenEstimator::new(ms(150), 16, ms(600)), scenario);
+//! runner.run_to_end();
+//! let report = runner.report();
 //! assert!(report.agreement_holds(), "safety survives the weather");
 //! assert!(report.decided_len() >= 1);
 //! ```
 
 use crate::clock::{ClockSkew, Nanos, SkewedClock, VirtualClock};
-use crate::estimator::ArrivalEstimator;
-use crate::online::{Fault, OnlineRunner, OnlineScenario};
-use crate::service::{ServiceReport, ServiceRunner, ServiceScenario};
+use crate::online::{Fault, Fleet, FleetNode, OnlineScenario};
 use crate::transport::{Endpoint, FaultInjector, FaultyTransport, InMemoryNetwork, NetworkConfig};
 use rfd_core::{ProcessId, ProcessSet};
 
@@ -88,7 +88,7 @@ use rfd_core::{ProcessId, ProcessSet};
 /// without one (the bare
 /// [`InMemoryNetwork`]) reports the
 /// directive unsupported and the driver panics — weather schedules need
-/// a weather-capable fleet (see [`weather_fleet`]).
+/// a weather-capable fleet (see [`Fleet::weather`]).
 ///
 /// Probabilities are integer per-mille (0..=1000) so directives stay
 /// `Copy + Eq` and schedules stay comparable.
@@ -382,13 +382,6 @@ impl Weather {
         scenario.skews = self.skews_for(scenario.n);
         scenario
     }
-
-    /// [`Weather::apply_to`] for a full [`ServiceScenario`].
-    #[must_use]
-    pub fn apply_to_service(&self, mut scenario: ServiceScenario) -> ServiceScenario {
-        scenario.online = self.apply_to(scenario.online);
-        scenario
-    }
 }
 
 /// The transport a weather fleet runs over: a reliable in-memory medium
@@ -396,29 +389,36 @@ impl Weather {
 /// node's arrivals in that node's (possibly skewed) local time.
 pub type WeatherTransport = FaultyTransport<Endpoint, SkewedClock<VirtualClock>>;
 
+/// The in-memory substrate every simulated fleet runs on: a virtual
+/// clock and an [`InMemoryNetwork`] with the scenario's `delay` and
+/// `seed` and the given `loss`.
+pub(crate) fn memory_network(
+    scenario: &OnlineScenario,
+    loss: f64,
+) -> (InMemoryNetwork, VirtualClock) {
+    let clock = VirtualClock::new();
+    let config = NetworkConfig::reliable(scenario.delay.0, scenario.delay.1)
+        .with_loss(loss)
+        .with_seed(scenario.seed);
+    (
+        InMemoryNetwork::new(scenario.n, config, clock.clone()),
+        clock,
+    )
+}
+
 /// Builds the deterministic weather substrate for `scenario`: a
-/// *reliable* [`InMemoryNetwork`]
-/// (the scenario's `delay` and `seed`) wrapped per node by one shared
-/// [`FaultInjector`] carrying the scenario's `loss` — so every drop,
-/// duplicate, hold and block is the injector's doing and every
-/// [`WeatherDirective`] in the schedule has a fault plane to act on.
-/// Each node's wrapper re-stamps arrivals through that node's
-/// [`SkewedClock`] (`scenario.skews`, identity when absent).
-///
-/// Returns `(per-node transports, shared injector, driver clock)`; feed
-/// them to [`OnlineRunner::over`] / [`ServiceRunner::over`] or use the
-/// [`weather_online_runner`] / [`run_weather_service`] shorthands.
-#[must_use]
-pub fn weather_fleet(
+/// *reliable* [`InMemoryNetwork`] (the scenario's `delay` and `seed`)
+/// wrapped per node by one shared [`FaultInjector`] carrying the
+/// scenario's `loss` — so every drop, duplicate, hold and block is the
+/// injector's doing and every [`WeatherDirective`] in the schedule has a
+/// fault plane to act on. Each node's wrapper re-stamps arrivals through
+/// that node's [`SkewedClock`] (`scenario.skews`, identity when absent).
+fn weather_fleet(
     scenario: &OnlineScenario,
 ) -> (Vec<WeatherTransport>, FaultInjector, VirtualClock) {
-    let n = scenario.n;
-    let clock = VirtualClock::new();
-    let config =
-        NetworkConfig::reliable(scenario.delay.0, scenario.delay.1).with_seed(scenario.seed);
-    let net = InMemoryNetwork::new(n, config, clock.clone());
+    let (net, clock) = memory_network(scenario, 0.0);
     let injector = FaultInjector::new(scenario.loss, scenario.seed);
-    let transports = (0..n)
+    let transports = (0..scenario.n)
         .map(|ix| {
             let skew = scenario.skews.get(ix).copied().unwrap_or_default();
             FaultyTransport::new(
@@ -431,40 +431,20 @@ pub fn weather_fleet(
     (transports, injector, clock)
 }
 
-/// An [`OnlineRunner`] (detector fleet + per-pair QoS monitors) over the
-/// [`weather_fleet`] substrate — deterministic per `scenario.seed`.
-#[must_use]
-pub fn weather_online_runner<E: ArrivalEstimator + Clone>(
-    prototype: E,
-    scenario: OnlineScenario,
-) -> OnlineRunner<E, WeatherTransport, VirtualClock, FaultInjector> {
-    let (transports, injector, clock) = weather_fleet(&scenario);
-    OnlineRunner::over(prototype, scenario, transports, injector, clock)
-}
-
-/// A [`ServiceRunner`] (replicated decision service) over the
-/// [`weather_fleet`] substrate — deterministic per
-/// `scenario.online.seed`.
-#[must_use]
-pub fn weather_service_runner<E: ArrivalEstimator + Clone>(
-    prototype: E,
-    scenario: ServiceScenario,
-) -> ServiceRunner<E, WeatherTransport, VirtualClock, FaultInjector> {
-    let (transports, injector, clock) = weather_fleet(&scenario.online);
-    ServiceRunner::over(prototype, scenario, transports, injector, clock)
-}
-
-/// Runs a [`ServiceScenario`] to completion over the weather substrate
-/// and returns the report — the weather-capable analogue of
-/// [`run_service`](crate::service::run_service).
-#[must_use]
-pub fn run_weather_service<E: ArrivalEstimator + Clone>(
-    prototype: E,
-    scenario: &ServiceScenario,
-) -> ServiceReport {
-    let mut runner = weather_service_runner(prototype, scenario.clone());
-    runner.run_to_end();
-    runner.report()
+impl<Nd> Fleet<Nd, VirtualClock, FaultInjector>
+where
+    Nd: FleetNode<Transport = WeatherTransport, Clock = SkewedClock<VirtualClock>>,
+{
+    /// Builds the fleet over the deterministic weather substrate (see
+    /// [`Fleet::over`]): a reliable in-memory medium whose every fault —
+    /// loss included — is injected by one shared [`FaultInjector`], so
+    /// the schedule's [`WeatherDirective`]s have a fault plane to act
+    /// on. Deterministic per seed.
+    #[must_use]
+    pub fn weather(prototype: Nd::Prototype, scenario: Nd::Scenario) -> Self {
+        let (transports, injector, clock) = weather_fleet(Nd::online(&scenario));
+        Self::over(prototype, scenario, transports, injector, clock)
+    }
 }
 
 #[cfg(test)]

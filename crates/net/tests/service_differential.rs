@@ -28,7 +28,7 @@ use rfd_net::service::{run_service, ServiceRunner, ServiceScenario};
 use rfd_net::transport::{
     Endpoint, FaultInjector, FaultyTransport, InMemoryNetwork, NetworkConfig,
 };
-use rfd_net::weather::{weather_online_runner, weather_service_runner, Weather};
+use rfd_net::weather::Weather;
 use rfd_net::ArrivalEstimator;
 use rfd_sim::{run, ticks_for_rounds, SimConfig, StopCondition};
 
@@ -271,9 +271,12 @@ fn calm_weather_is_bit_identical_to_the_bare_faulty_path() {
             // scenario.
             let calm = Weather::new();
             assert!(calm.is_calm());
-            let mut dsl = weather_service_runner(
+            let mut dsl = ServiceRunner::weather(
                 ChenEstimator::new(ms(150), 16, ms(600)),
-                calm.apply_to_service(scenario.clone()),
+                ServiceScenario {
+                    online: calm.apply_to(scenario.online.clone()),
+                    ..scenario.clone()
+                },
             );
             dsl.run_to_end();
             let dsl = dsl.report();
@@ -323,7 +326,7 @@ fn calm_weather_qos_timelines_match_the_bare_faulty_path_bitwise() {
     let cell = &cells()[1]; // coordinator crash: detection paths exercised
     let mut scenario = workload(cell, 11).online;
     scenario.loss = 0.02;
-    let mut dsl = weather_online_runner(
+    let mut dsl = OnlineRunner::weather(
         ChenEstimator::new(ms(150), 16, ms(600)),
         Weather::new().apply_to(scenario.clone()),
     );

@@ -30,10 +30,10 @@ use rfd_net::estimator::{ArrivalEstimator, ChenEstimator};
 use rfd_net::membership::MembershipNode;
 use rfd_net::online::{Fault, FaultSchedule, MembershipWatcher, OnlineScenario};
 use rfd_net::service::{
-    run_service, CompactionPolicy, ServiceEvent, ServiceRunner, ServiceScenario,
+    run_service, CompactionPolicy, ServiceEvent, ServiceReport, ServiceRunner, ServiceScenario,
 };
 use rfd_net::transport::{ChurnableTransport, InMemoryNetwork, NetworkConfig, Transport};
-use rfd_net::weather::{run_weather_service, weather_service_runner, Weather};
+use rfd_net::weather::Weather;
 use rfd_net::DetectorNode;
 use std::collections::BTreeMap;
 
@@ -101,6 +101,13 @@ fn churn_scenario(
 /// property body and as a plain test helper).
 fn assert_safety(scenario: &ServiceScenario) {
     check_safety(ServiceRunner::new(chen(), scenario.clone()));
+}
+
+/// Runs the scenario to completion over the weather substrate.
+fn run_weather_service(scenario: &ServiceScenario) -> ServiceReport {
+    let mut runner = ServiceRunner::weather(chen(), scenario.clone());
+    runner.run_to_end();
+    runner.report()
 }
 
 /// The substrate-agnostic safety checker: drives any [`ServiceRunner`]
@@ -372,7 +379,7 @@ proptest! {
         spec in weather_spec(),
     ) {
         let scenario = weather_scenario(&spec, seed);
-        check_safety(weather_service_runner(chen(), scenario));
+        check_safety(ServiceRunner::weather(chen(), scenario));
     }
 
     /// Every composed weather run is a pure function of (spec, seed):
@@ -383,8 +390,8 @@ proptest! {
         spec in weather_spec(),
     ) {
         let scenario = weather_scenario(&spec, seed);
-        let a = run_weather_service(chen(), &scenario);
-        let b = run_weather_service(chen(), &scenario);
+        let a = run_weather_service(&scenario);
+        let b = run_weather_service(&scenario);
         prop_assert_eq!(a.logs, b.logs);
         prop_assert_eq!(a.bases, b.bases);
         prop_assert_eq!(a.decisions, b.decisions);
@@ -406,7 +413,7 @@ proptest! {
     ) {
         let mut scenario = weather_scenario(&spec, seed);
         scenario.online.loss = loss_pct as f64 / 100.0;
-        check_safety(weather_service_runner(chen(), scenario));
+        check_safety(ServiceRunner::weather(chen(), scenario));
     }
 
     /// And the lossy runs stay a pure function of (spec, loss, seed):
@@ -420,8 +427,8 @@ proptest! {
     ) {
         let mut scenario = weather_scenario(&spec, seed);
         scenario.online.loss = loss_pct as f64 / 100.0;
-        let a = run_weather_service(chen(), &scenario);
-        let b = run_weather_service(chen(), &scenario);
+        let a = run_weather_service(&scenario);
+        let b = run_weather_service(&scenario);
         prop_assert_eq!(a.logs, b.logs);
         prop_assert_eq!(a.bases, b.bases);
         prop_assert_eq!(a.decisions, b.decisions);
@@ -640,8 +647,8 @@ fn watcher_observe_ignores_out_of_range_members() {
 #[test]
 fn watcher_notes_ignore_out_of_range_processes() {
     let mut w = MembershipWatcher::new(2);
-    w.note_crash(p(90), ms(5));
-    w.note_recover(p(91));
+    w.note_fault(ms(5), &Fault::Crash(p(90)));
+    w.note_fault(ms(5), &Fault::Recover(p(91)));
     let report = w.report();
     assert_eq!(report.exclusion_latency.len(), 2);
     assert!(report.false_exclusions.is_empty());

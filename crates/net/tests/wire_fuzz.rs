@@ -4,9 +4,9 @@
 //! The static pass proves no `unwrap`/`panic!`/unchecked indexing is
 //! *written* in datagram-facing code; these properties check the same
 //! contract *observably* — an attacker-controlled datagram never
-//! panics a [`MembershipNode`] or [`DecisionService`], rejected frames
-//! leave node state untouched, and every rejection is charged to the
-//! `malformed_frames` counter. This regression-pins the PR 5
+//! panics a [`DetectorNode`], [`MembershipNode`] or [`DecisionService`],
+//! rejected frames leave node state untouched, and every rejection is
+//! charged to the `malformed_frames` counter. This regression-pins the PR 5
 //! out-of-range `ProcessId` panic family: a heartbeat whose sender
 //! field exceeds the cluster size used to abort the process.
 //!
@@ -26,10 +26,11 @@ use rfd_net::codec::{
     decode_borrowed, encode, Command, ConsensusFrame, DecidedMsg, Heartbeat, SnapshotReply,
     SnapshotRequest, SyncReply, SyncRequest, ViewChange, WireMsg,
 };
-use rfd_net::estimator::ChenEstimator;
+use rfd_net::estimator::{ArrivalEstimator, ChenEstimator};
 use rfd_net::membership::MembershipNode;
 use rfd_net::service::DecisionService;
-use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
+use rfd_net::transport::{Endpoint, InMemoryNetwork, NetworkConfig, Transport};
+use rfd_net::DetectorNode;
 
 fn ms(v: u64) -> Nanos {
     Nanos::from_millis(v)
@@ -44,6 +45,20 @@ fn chen() -> ChenEstimator {
 }
 
 const N: usize = 3;
+
+/// A detector node at `p0` on a network of its own, plus the attacker
+/// endpoint `p1` that feeds it — the detector-kind input the membership
+/// fuzz properties replay their datagrams into.
+fn detector_rig(
+    clock: &VirtualClock,
+) -> (
+    DetectorNode<ChenEstimator, Endpoint, VirtualClock>,
+    Endpoint,
+) {
+    let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
+    let node = DetectorNode::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
+    (node, net.endpoint(p(1)))
+}
 
 /// One `SyncReply` worth of stream: `(start, entries)` with entries as
 /// `(value, view, members)` triples.
@@ -100,8 +115,8 @@ fn wire_msg(selector: u8, a: u64, b: u64, wide: u128, entries: Vec<(u64, u64, u1
 }
 
 proptest! {
-    /// Undecodable datagrams: no panic, no membership state change, and
-    /// every rejected frame charged to `malformed_frames`.
+    /// Undecodable datagrams: no panic, no membership or detector state
+    /// change, and every rejected frame charged to `malformed_frames`.
     #[test]
     fn membership_rejects_arbitrary_bytes_without_state_change(
         frames in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..96), 1..24),
@@ -110,6 +125,7 @@ proptest! {
         let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
         let mut node = MembershipNode::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
         let attacker = net.endpoint(p(1));
+        let (mut detector, detector_attacker) = detector_rig(&clock);
         let view_before = node.view();
         let installed_before = node.views_installed();
         let mut rejected = 0u64;
@@ -126,18 +142,26 @@ proptest! {
                 continue;
             }
             rejected += 1;
-            attacker.send(p(0), Bytes::from(bytes));
+            let bytes = Bytes::from(bytes);
+            attacker.send(p(0), bytes.clone());
+            detector_attacker.send(p(0), bytes);
             clock.advance(ms(2));
             node.poll();
+            prop_assert!(detector.poll().is_empty());
         }
         prop_assert_eq!(node.malformed_frames(), rejected);
         prop_assert_eq!(node.view(), view_before);
         prop_assert_eq!(node.views_installed(), installed_before);
         prop_assert!(!node.is_halted());
+        prop_assert_eq!(detector.malformed_frames(), rejected);
+        for peer in [p(1), p(2)] {
+            prop_assert!(detector.detector().monitor(peer).and_then(ArrivalEstimator::deadline).is_none());
+        }
     }
 
     /// Decodable heartbeats with wild sender fields — the exact PR 5
-    /// panic family — are dropped, counted, and change nothing.
+    /// panic family — are dropped, counted, and change nothing, whether
+    /// they arrive bare or inside a `Batch`.
     #[test]
     fn membership_drops_out_of_range_heartbeat_senders(
         senders in prop::collection::vec(any::<u16>(), 1..16),
@@ -146,23 +170,32 @@ proptest! {
         let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(2)), clock.clone());
         let mut node = MembershipNode::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
         let attacker = net.endpoint(p(1));
+        let (mut detector, detector_attacker) = detector_rig(&clock);
         let view_before = node.view();
-        for (seq, &sender) in senders.iter().enumerate() {
-            attacker.send(
-                p(0),
-                encode(&WireMsg::Heartbeat(Heartbeat {
+        let beats: Vec<WireMsg> = senders
+            .iter()
+            .enumerate()
+            .map(|(seq, &sender)| {
+                WireMsg::Heartbeat(Heartbeat {
                     sender,
                     seq: seq as u64,
                     sent_at: clock.now(),
-                })),
-            );
+                })
+            })
+            .collect();
+        let frames = beats.iter().map(encode).chain([encode(&WireMsg::Batch(beats.clone()))]);
+        for frame in frames {
+            attacker.send(p(0), frame.clone());
+            detector_attacker.send(p(0), frame);
             clock.advance(ms(2));
             node.poll();
+            detector.poll();
         }
         let wild = senders.iter().filter(|&&s| usize::from(s) >= N).count() as u64;
-        prop_assert_eq!(node.malformed_frames(), wild);
+        prop_assert_eq!(node.malformed_frames(), 2 * wild);
         prop_assert_eq!(node.view(), view_before);
         prop_assert!(!node.is_halted());
+        prop_assert_eq!(detector.malformed_frames(), 2 * wild);
     }
 
     /// Bit-flipped frames of every wire kind into a full service node:
@@ -310,6 +343,73 @@ proptest! {
         prop_assert_eq!(node.malformed_frames(), 0);
         prop_assert_eq!(node.log().snapshots_installed(), 0);
         prop_assert!(!node.is_halted());
+    }
+}
+
+/// The stop-once-halted drain rule, for both halting node kinds: a
+/// `ViewChange` excluding the receiver — bare, or first in a `Batch`
+/// whose later sub-frames would count — halts it mid-drain, and nothing
+/// queued behind the halting frame is looked at. Neither the trailing
+/// undecodable bytes nor the wild-sender heartbeat reach
+/// `malformed_frames`, the valid heartbeat feeds no estimator, and the
+/// command never enters the service's pool.
+#[test]
+fn halting_frame_ends_the_drain() {
+    let excluded = encode(&WireMsg::ViewChange(ViewChange {
+        view_id: 1,
+        members: 0b110,
+    }));
+    let beat = |sender: u16| {
+        WireMsg::Heartbeat(Heartbeat {
+            sender,
+            seq: 0,
+            sent_at: Nanos::ZERO,
+        })
+    };
+    let batched = encode(&WireMsg::Batch(vec![
+        WireMsg::ViewChange(ViewChange {
+            view_id: 1,
+            members: 0b110,
+        }),
+        beat(999),
+        beat(1),
+    ]));
+    for first in [excluded, batched] {
+        // The whole burst lands at one instant, in send order, so one
+        // poll drains all of it.
+        let queue = |attacker: &Endpoint| {
+            for frame in [
+                first.clone(),
+                Bytes::from_static(b"\xffnot a frame"),
+                encode(&beat(999)),
+                encode(&beat(1)),
+                encode(&WireMsg::Command(Command { value: 5 })),
+            ] {
+                attacker.send(p(0), frame);
+            }
+        };
+        let clock = VirtualClock::new();
+        let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(1)), clock.clone());
+        let mut member = MembershipNode::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
+        queue(&net.endpoint(p(1)));
+        clock.advance(ms(2));
+        member.poll();
+        assert!(member.is_halted());
+        assert_eq!(member.view().id, 1);
+        assert_eq!(member.malformed_frames(), 0);
+        assert_eq!(member.trust_horizon(), None, "no heartbeat was observed");
+
+        let clock = VirtualClock::new();
+        let net = InMemoryNetwork::new(N, NetworkConfig::reliable(ms(1), ms(1)), clock.clone());
+        let mut service =
+            DecisionService::new(N, chen(), net.endpoint(p(0)), clock.clone(), ms(50));
+        queue(&net.endpoint(p(1)));
+        clock.advance(ms(2));
+        service.poll();
+        assert!(service.is_halted());
+        assert_eq!(service.view().id, 1);
+        assert_eq!(service.malformed_frames(), 0);
+        assert_eq!(service.pending(), 0, "the command was never routed");
     }
 }
 

@@ -21,7 +21,7 @@ use realistic_failure_detectors::core::{ProcessId, ProcessSet};
 use realistic_failure_detectors::net::clock::{Nanos, SystemClock};
 use realistic_failure_detectors::net::estimator::ChenEstimator;
 use realistic_failure_detectors::net::online::{
-    run_membership_churn_over, Fault, FaultSchedule, OnlineEvent, OnlineRunner, OnlineScenario,
+    Fault, FaultSchedule, MembershipRunner, OnlineEvent, OnlineRunner, OnlineScenario,
 };
 use realistic_failure_detectors::net::transport::faulty_cluster;
 use realistic_failure_detectors::net::transport::udp::loopback_cluster;
@@ -121,7 +121,9 @@ fn main() -> std::io::Result<()> {
     let clock = SystemClock::new();
     let transports = loopback_cluster(scenario.n)?;
     let (nodes, injector) = faulty_cluster(transports, 0.0, 0, clock.clone());
-    let report = run_membership_churn_over(chen(), &scenario, nodes, injector, clock);
+    let mut fleet = MembershipRunner::over(chen(), scenario, nodes, injector, clock);
+    fleet.run_to_end();
+    let report = fleet.report();
     let reconverge = report.time_to_reconverge[0];
     println!(
         "split-brain: {}ms   time-to-reconverge after heal: {}   view changes: {}   by-fiat false exclusions: {}",
