@@ -1,12 +1,15 @@
 //! Hot-path throughput benches: messages/sec and ns/tick for the
 //! runtime's steady-state loops — detector drain, membership tick,
-//! codec round-trip, service slot advance.
+//! codec round-trip, service slot advance — and the per-call cost of the
+//! arrival estimators they consult.
 //!
 //! This is the tracked family behind the allocation-free hot-path work:
 //! `BENCH_baseline.json` holds the pre-optimization numbers,
 //! `BENCH_pr6.json` the post-optimization ones, and `BENCH_pr10.json`
 //! the post-retransmission-plane re-capture (the no-retry fast path
-//! must stay free), captured with
+//! must stay free), and `BENCH_pr13.json` the `estimator` group before
+//! and after estimators moved their work from queries into `observe`,
+//! captured with
 //! `RFD_BENCH_JSON=<path> cargo bench -p rfd-bench --bench bench_throughput`.
 //!
 //! **Size semantics.** `ProcessSet` is a `u128` bitset, so fleets cap at
@@ -16,14 +19,18 @@
 //! heartbeat-processing throughput is about — while `membership_tick`
 //! sizes are genuine fleet sizes (4/16/64 nodes).
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
+use criterion::{
+    black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput,
+};
 use rfd_algo::consensus::{RotatingConsensus, RotatingMsg};
 use rfd_algo::driver::SlotDriver;
 use rfd_core::{ProcessId, ProcessSet};
 use rfd_net::bytes::BytesMut;
 use rfd_net::clock::{Nanos, VirtualClock};
 use rfd_net::codec::{decode, decode_borrowed, encode, encode_into, Heartbeat, SyncReply, WireMsg};
-use rfd_net::estimator::FixedTimeout;
+use rfd_net::estimator::{
+    ArrivalEstimator, ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual,
+};
 use rfd_net::membership::MembershipNode;
 use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
 use rfd_net::DetectorNode;
@@ -237,6 +244,52 @@ fn bench_service_slot_advance(c: &mut Criterion) {
     group.finish();
 }
 
+/// One estimator of each kind, in the zoo's configuration, with its
+/// sliding window at capacity.
+fn estimator_zoo() -> Vec<Box<dyn ArrivalEstimator>> {
+    let bootstrap = Nanos::from_millis(400);
+    let mut zoo: Vec<Box<dyn ArrivalEstimator>> = vec![
+        Box::new(FixedTimeout::new(Nanos::from_millis(300))),
+        Box::new(ChenEstimator::new(Nanos::from_millis(60), 16, bootstrap)),
+        Box::new(JacobsonEstimator::new(4.0, bootstrap)),
+        Box::new(PhiAccrual::new(3.0, 16, bootstrap)),
+    ];
+    for est in &mut zoo {
+        for k in 0..32 {
+            est.observe(jittered_arrival(k));
+        }
+    }
+    zoo
+}
+
+/// The `k`-th arrival of a 95–104 ms jittered heartbeat stream.
+fn jittered_arrival(k: u64) -> Nanos {
+    Nanos::from_millis(k * 100 + (k * 7) % 10)
+}
+
+/// Per-call cost of each estimator: `observe` (one heartbeat arrival,
+/// window at capacity) and `deadline` (the freshness-point query the
+/// membership tick and the service's retransmission timeout make for
+/// every peer on every poll).
+fn bench_estimator(c: &mut Criterion) {
+    let mut group = c.benchmark_group("estimator");
+    group.throughput(Throughput::Elements(1));
+    for mut est in estimator_zoo() {
+        let name = est.name();
+        let mut k = 32;
+        group.bench_function(&format!("observe/{name}"), |b| {
+            b.iter(|| {
+                est.observe(jittered_arrival(k));
+                k += 1;
+            });
+        });
+        group.bench_function(&format!("deadline/{name}"), |b| {
+            b.iter(|| black_box(&est).deadline());
+        });
+    }
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(20)
@@ -251,6 +304,7 @@ criterion_group! {
         bench_codec_roundtrip,
         bench_detector_drain,
         bench_membership_tick,
-        bench_service_slot_advance
+        bench_service_slot_advance,
+        bench_estimator
 }
 criterion_main!(benches);

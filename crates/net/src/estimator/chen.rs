@@ -13,13 +13,16 @@ use crate::clock::Nanos;
 ///
 /// This implementation uses the standard practical simplification: the
 /// expected next arrival is `last_arrival + mean_interarrival` over the
-/// sliding window.
+/// sliding window. The freshness point is derived once per heartbeat
+/// in `observe`, so every query is a field read.
 #[derive(Clone, Debug)]
 pub struct ChenEstimator {
     window: ArrivalWindow,
     alpha: Nanos,
     /// Fallback trust period before enough samples exist.
     bootstrap: Nanos,
+    /// `last_arrival + expected_gap + α`, refreshed by `observe`.
+    deadline: Option<Nanos>,
 }
 
 impl ChenEstimator {
@@ -40,6 +43,7 @@ impl ChenEstimator {
             window: ArrivalWindow::new(window),
             alpha,
             bootstrap,
+            deadline: None,
         }
     }
 
@@ -53,15 +57,15 @@ impl ChenEstimator {
 impl ArrivalEstimator for ChenEstimator {
     fn observe(&mut self, now: Nanos) {
         self.window.record(now);
-    }
-
-    fn deadline(&self) -> Option<Nanos> {
-        let last = self.window.last_arrival()?;
         let expected_gap = match self.window.mean() {
             Some(mean) if self.window.len() >= 2 => Nanos::from_nanos(mean as u64),
             _ => self.bootstrap,
         };
-        Some(last.saturating_add(expected_gap).saturating_add(self.alpha))
+        self.deadline = Some(now.saturating_add(expected_gap).saturating_add(self.alpha));
+    }
+
+    fn deadline(&self) -> Option<Nanos> {
+        self.deadline
     }
 
     fn suspicion_level(&self, now: Nanos) -> f64 {

@@ -35,6 +35,17 @@ use crate::clock::Nanos;
 use core::fmt;
 
 /// An adaptive (or fixed) heartbeat-timeout strategy.
+///
+/// **Cost contract.** Estimator state changes only in
+/// [`observe`](Self::observe), which runs once per heartbeat; every
+/// statistic a query needs (window mean and variance, the freshness
+/// point) is derived there and stored. The queries —
+/// [`deadline`](Self::deadline), [`is_suspect`](Self::is_suspect) and
+/// [`suspicion_level`](Self::suspicion_level) — are then O(1) and
+/// allocation-free, because the membership tick and the service's
+/// retransmission timeout ask them for every peer on every poll, far
+/// more often than heartbeats arrive. Once the window is at capacity,
+/// `observe` allocates nothing either.
 pub trait ArrivalEstimator: fmt::Debug {
     /// Records a heartbeat arrival at time `now`.
     fn observe(&mut self, now: Nanos);
@@ -65,11 +76,16 @@ pub trait ArrivalEstimator: fmt::Debug {
 
 /// Sliding-window statistics over heartbeat inter-arrival times,
 /// shared by the adaptive estimators.
+///
+/// The mean and variance are derived once per recorded gap and stored,
+/// so reading them is a field access.
 #[derive(Clone, Debug)]
 pub(crate) struct ArrivalWindow {
     capacity: usize,
     samples: std::collections::VecDeque<u64>,
     last_arrival: Option<Nanos>,
+    mean: Option<f64>,
+    variance: Option<f64>,
 }
 
 impl ArrivalWindow {
@@ -79,6 +95,8 @@ impl ArrivalWindow {
             capacity,
             samples: std::collections::VecDeque::with_capacity(capacity),
             last_arrival: None,
+            mean: None,
+            variance: None,
         }
     }
 
@@ -94,6 +112,21 @@ impl ArrivalWindow {
                 self.samples.pop_front();
             }
             self.samples.push_back(g);
+            let count = self.samples.len() as f64;
+            let mean = self.samples.iter().map(|&g| g as f64).sum::<f64>() / count;
+            self.mean = Some(mean);
+            self.variance = Some(if self.samples.len() < 2 {
+                0.0
+            } else {
+                self.samples
+                    .iter()
+                    .map(|&g| {
+                        let d = g as f64 - mean;
+                        d * d
+                    })
+                    .sum::<f64>()
+                    / count
+            });
         }
         gap
     }
@@ -108,29 +141,12 @@ impl ArrivalWindow {
 
     /// Mean inter-arrival in nanoseconds.
     pub(crate) fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().map(|&g| g as f64).sum::<f64>() / self.samples.len() as f64)
-        }
+        self.mean
     }
 
     /// Population variance of inter-arrivals.
     pub(crate) fn variance(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        if self.samples.len() < 2 {
-            return Some(0.0);
-        }
-        let var = self
-            .samples
-            .iter()
-            .map(|&g| {
-                let d = g as f64 - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        Some(var)
+        self.variance
     }
 }
 

@@ -10,6 +10,10 @@ use crate::clock::Nanos;
 /// crosses a threshold. φ = 1 means ≈10 % chance the silence is benign,
 /// φ = 3 means ≈0.1 %. This is the design adopted by Cassandra and Akka —
 /// the modern descendant of the paper's "group membership timeout".
+///
+/// The normal model's `(mean, std)` and the threshold crossing are
+/// derived once per heartbeat in `observe`, so [`phi`](Self::phi) is
+/// O(1) and [`deadline`](ArrivalEstimator::deadline) a field read.
 #[derive(Clone, Debug)]
 pub struct PhiAccrual {
     window: ArrivalWindow,
@@ -18,6 +22,11 @@ pub struct PhiAccrual {
     /// regular traffic.
     min_std: f64,
     bootstrap: Nanos,
+    /// The normal model's `(mean, std)` in nanoseconds, refreshed by
+    /// `observe`.
+    stats: (f64, f64),
+    /// The threshold crossing, refreshed by `observe`.
+    deadline: Option<Nanos>,
 }
 
 impl PhiAccrual {
@@ -40,7 +49,16 @@ impl PhiAccrual {
             threshold,
             min_std: 1e5, // 0.1 ms floor
             bootstrap,
+            stats: Self::bootstrap_stats(bootstrap),
+            deadline: None,
         }
+    }
+
+    /// Bootstrap model: the bootstrap timeout as mean with a generous
+    /// deviation.
+    fn bootstrap_stats(bootstrap: Nanos) -> (f64, f64) {
+        let b = bootstrap.as_nanos() as f64;
+        (b / 2.0, b / 4.0)
     }
 
     /// The suspicion threshold.
@@ -56,15 +74,7 @@ impl PhiAccrual {
             return 0.0;
         };
         let elapsed = now.saturating_sub(last).as_nanos() as f64;
-        let (mean, std) = match (self.window.mean(), self.window.variance()) {
-            (Some(m), Some(v)) if self.window.len() >= 2 => (m, v.sqrt().max(self.min_std)),
-            _ => {
-                // Bootstrap: treat the bootstrap timeout as mean with a
-                // generous deviation.
-                let b = self.bootstrap.as_nanos() as f64;
-                (b / 2.0, b / 4.0)
-            }
-        };
+        let (mean, std) = self.stats;
         // P(X > elapsed) for X ~ N(mean, std²), via the logistic
         // approximation of the normal CDF used by the Akka
         // implementation.
@@ -77,14 +87,10 @@ impl PhiAccrual {
         };
         -p_later.max(1e-12).log10()
     }
-}
 
-impl ArrivalEstimator for PhiAccrual {
-    fn observe(&mut self, now: Nanos) {
-        self.window.record(now);
-    }
-
-    fn deadline(&self) -> Option<Nanos> {
+    /// The time at which φ crosses the threshold after the arrival at
+    /// `last`, under the current model.
+    fn crossing(&self, last: Nanos) -> Option<Nanos> {
         // The deadline is implicit: the time at which φ crosses the
         // threshold. Probe geometrically from the last arrival. The probe
         // is capped: with an extremely wide inter-arrival spread the
@@ -92,7 +98,6 @@ impl ArrivalEstimator for PhiAccrual {
         // a deadline that never crosses the threshold would be a false
         // "suspect after this time" guarantee — report `None` instead.
         const PROBE_CAP: u64 = 1 << 51; // ≈ 26 days
-        let last = self.window.last_arrival()?;
         let mut lo = 0u64;
         let mut hi = self.bootstrap.as_nanos().max(1);
         while self.phi(last.saturating_add(Nanos::from_nanos(hi))) < self.threshold {
@@ -114,6 +119,21 @@ impl ArrivalEstimator for PhiAccrual {
             }
         }
         Some(last.saturating_add(Nanos::from_nanos(hi)))
+    }
+}
+
+impl ArrivalEstimator for PhiAccrual {
+    fn observe(&mut self, now: Nanos) {
+        self.window.record(now);
+        self.stats = match (self.window.mean(), self.window.variance()) {
+            (Some(m), Some(v)) if self.window.len() >= 2 => (m, v.sqrt().max(self.min_std)),
+            _ => Self::bootstrap_stats(self.bootstrap),
+        };
+        self.deadline = self.crossing(now);
+    }
+
+    fn deadline(&self) -> Option<Nanos> {
+        self.deadline
     }
 
     fn is_suspect(&self, now: Nanos) -> bool {

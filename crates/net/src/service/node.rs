@@ -626,25 +626,35 @@ where
     /// stop — liveness under arbitrary loss needs unbounded retries.
     ///
     /// The no-retry fast path (no open slots, or all making progress)
-    /// touches only the reusable scratch vectors: zero allocations.
+    /// touches only the reusable scratch vectors: zero allocations. The
+    /// RTO scans the trust horizon over every view member, so it is
+    /// derived only when a timer is armed or reset.
     fn run_retransmission(&mut self, now: Nanos) {
         // Drop timers of retired slots.
         let driver = &self.driver;
         self.retx.retain(|slot, _| driver.is_open(*slot));
-        let rto = self.retransmit_after(now);
+        let mut rto = None;
+        let mut rto_at = |node: &Self| *rto.get_or_insert_with(|| node.retransmit_after(now));
         let cap = self.backoff_cap();
         // Arm timers for newly opened slots.
         for &slot in self.driver.open_slots() {
-            self.retx.entry(slot).or_insert(RetryTimer {
-                next: now.saturating_add(rto),
-                interval: rto,
-                attempts: 0,
-            });
+            if !self.retx.contains_key(&slot) {
+                let rto = rto_at(self);
+                self.retx.insert(
+                    slot,
+                    RetryTimer {
+                        next: now.saturating_add(rto),
+                        interval: rto,
+                        attempts: 0,
+                    },
+                );
+            }
         }
         // Fresh emission this poll = progress: reset timer and backoff.
         let mut touched = std::mem::take(&mut self.retx_touched);
         for slot in touched.drain(..) {
             if self.driver.is_open(slot) {
+                let rto = rto_at(self);
                 self.retx.insert(
                     slot,
                     RetryTimer {
@@ -696,7 +706,7 @@ where
             }
         }
         self.retx_due = due;
-        self.retry_snapshot(now, rto, cap);
+        self.retry_snapshot(now, cap);
     }
 
     /// The sender-side half of acknowledged delivery: every gossip
@@ -756,7 +766,7 @@ where
     /// genuinely behind, re-send the request to a rotated member — a
     /// single lost `SnapshotRequest`/`SnapshotReply` can no longer
     /// strand a rejoiner behind the once-per-tail-position throttle.
-    fn retry_snapshot(&mut self, now: Nanos, rto: Nanos, cap: Nanos) {
+    fn retry_snapshot(&mut self, now: Nanos, cap: Nanos) {
         if !self.awaiting_snapshot {
             self.snapshot_retry = None;
             return;
@@ -764,6 +774,7 @@ where
         let Some(timer) = self.snapshot_retry else {
             // Legacy arm (outstanding request from before the timer
             // existed): start the clock now.
+            let rto = self.retransmit_after(now);
             self.snapshot_retry = Some(RetryTimer {
                 next: now.saturating_add(rto),
                 interval: rto,

@@ -5,8 +5,8 @@
 //! buffer has reached steady-state capacity, then asserts the next
 //! cycles allocate **nothing**. These tests pin the allocation-free
 //! contract of the zero-copy codec (`encode_into` + `decode_borrowed`),
-//! the `freeze`/`try_into_mut` buffer-recycling cycle, and the detector
-//! receive drain.
+//! the `freeze`/`try_into_mut` buffer-recycling cycle, the detector
+//! receive drain, and the arrival estimators' observe/query cycle.
 //!
 //! The counter is thread-local (const-initialized, so the allocator
 //! never recurses into itself), which keeps the tests immune to the
@@ -25,7 +25,9 @@ use rfd_net::clock::{Clock, Nanos, VirtualClock};
 use rfd_net::codec::{
     decode_borrowed, encode, encode_into, Heartbeat, SyncReply, WireMsg, WireView,
 };
-use rfd_net::estimator::FixedTimeout;
+use rfd_net::estimator::{
+    ArrivalEstimator, ChenEstimator, FixedTimeout, JacobsonEstimator, PhiAccrual,
+};
 use rfd_net::transport::{InMemoryNetwork, NetworkConfig, Transport};
 use rfd_net::DetectorNode;
 
@@ -207,4 +209,50 @@ fn detector_steady_state_drain_does_not_allocate() {
         allocs, 0,
         "steady-state detector drain must be allocation-free"
     );
+}
+
+/// Steady-state `observe` plus every query, with the sliding windows at
+/// capacity: the membership tick and the service's retransmission
+/// timeout make these calls for every peer on every poll.
+fn assert_estimator_cycle_is_allocation_free(mut est: impl ArrivalEstimator) {
+    let mut now = Nanos::ZERO;
+    let mut cycle = |est: &mut dyn ArrivalEstimator, k: u64| {
+        // Jittered 80–119 ms gaps.
+        now = now.saturating_add(Nanos::from_millis(80 + (k * 37) % 40));
+        est.observe(now);
+        let probe = now.saturating_add(Nanos::from_millis(150));
+        std::hint::black_box((
+            est.deadline(),
+            est.is_suspect(probe),
+            est.suspicion_level(probe),
+        ));
+    };
+    // Warm: more arrivals than any window holds.
+    for k in 0..40 {
+        cycle(&mut est, k);
+    }
+    let allocs = allocations_during(|| {
+        for k in 40..240 {
+            cycle(&mut est, k);
+        }
+    });
+    assert_eq!(
+        allocs,
+        0,
+        "{}: steady-state observe and queries must be allocation-free",
+        est.name()
+    );
+}
+
+#[test]
+fn estimator_observe_and_queries_do_not_allocate() {
+    let bootstrap = Nanos::from_millis(400);
+    assert_estimator_cycle_is_allocation_free(FixedTimeout::new(Nanos::from_millis(300)));
+    assert_estimator_cycle_is_allocation_free(ChenEstimator::new(
+        Nanos::from_millis(60),
+        16,
+        bootstrap,
+    ));
+    assert_estimator_cycle_is_allocation_free(JacobsonEstimator::new(4.0, bootstrap));
+    assert_estimator_cycle_is_allocation_free(PhiAccrual::new(3.0, 16, bootstrap));
 }
